@@ -30,10 +30,9 @@ Every revision here preserves the output element sequence exactly:
 * :class:`SetBatchSize` changes the engine's micro-batch size, which
   PR 1's differential suite certifies output-invariant for every size.
 * :class:`SetRepresentation` switches the engine between tuple and
-  columnar execution (and optionally fuses/unfuses stateless runs).
-  The columnar kernels are certified element-for-element identical to
-  the tuple path (``tests/columnar``), fusion reuses the *same*
-  operator instances so live state survives, and the flip lands at a
+  columnar execution.  The columnar kernels are certified
+  element-for-element identical to the tuple path (``tests/columnar``),
+  the same operator instances keep running, and the flip lands at a
   boundary — never mid-chunk.
 * :class:`RetuneShedding` moves the overload controller's watermarks —
   load shedding is outside the exact-answer contract by construction
@@ -140,25 +139,13 @@ class SetBatchSize(Revision):
 class SetRepresentation(Revision):
     """Switch the engine's execution representation for the chain.
 
-    ``representation`` is ``"tuple"`` or ``"columnar"``;
-    ``column_backend`` optionally pins the column storage backend
-    (``None`` keeps the engine's current/auto choice).  ``fuse``
-    additionally compiles stateless runs into
-    :class:`~repro.columnar.fuse.FusedOperator` nodes; ``fuse=False``
-    expands any fused nodes back.  Fusion re-uses the constituent
-    operator *instances*, so learned filter statistics and (for the
-    tuple path) any operator state survive the flip, and
-    :meth:`~repro.core.engine.Engine.migrate_plan` carries every other
-    operator's state by name as usual.
-
-    The revision is structural (the chain may be rebuilt), but
-    :func:`apply_revisions` only migrates when the fuse flip actually
-    changed the chain.
+    ``representation`` is ``"tuple"`` or ``"columnar"``.  The flip sets
+    an engine flag: the chain is not rebuilt, so every operator
+    instance (and its state) keeps running.
     """
 
+    structural = False
     representation: str
-    column_backend: str | None = None
-    fuse: bool = False
 
     def __post_init__(self) -> None:
         if self.representation not in ("tuple", "columnar"):
@@ -391,13 +378,6 @@ def apply_to_chain(ops: list, revision: Revision) -> list:
             raise PlanError(f"no operator named {revision.name!r} in chain")
         return out
 
-    if isinstance(revision, SetRepresentation):
-        # Lazy import mirrors chain_of(): keep repro.adaptive importable
-        # from worker modules without dragging the columnar package in.
-        from repro.columnar import fuse_chain, unfuse_chain
-
-        return fuse_chain(ops) if revision.fuse else unfuse_chain(ops)
-
     raise PlanError(
         f"apply_to_chain cannot apply {type(revision).__name__} "
         f"(not a structural chain revision)"
@@ -432,16 +412,7 @@ def apply_revisions(
             if engine.guard is not None:
                 engine.guard.apply_retune(revision)
         elif isinstance(revision, SetRepresentation):
-            if revision.column_backend is not None:
-                engine.column_backend = revision.column_backend
             engine.representation = revision.representation
-            if new_chain is not None:
-                revised = apply_to_chain(new_chain, revision)
-                if [id(op) for op in revised] != [
-                    id(op) for op in new_chain
-                ]:
-                    migrated = True
-                new_chain = revised
         else:
             new_chain = apply_to_chain(new_chain, revision)
             migrated = True

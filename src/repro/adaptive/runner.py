@@ -88,7 +88,6 @@ class AdaptiveEngine:
         guard=None,
         observe=True,
         representation: str = "tuple",
-        column_backend: str | None = None,
         recorder=None,
     ) -> None:
         if controller is not None and config is not None:
@@ -101,7 +100,6 @@ class AdaptiveEngine:
             guard=guard,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
             recorder=recorder,
         )
         self._recorder = recorder
@@ -215,7 +213,6 @@ class AdaptiveShardedEngine:
         backend: str = "thread",
         observe=True,
         representation: str = "tuple",
-        column_backend: str | None = None,
     ) -> None:
         if controller is not None and config is not None:
             raise PlanError(
@@ -228,7 +225,6 @@ class AdaptiveShardedEngine:
             backend=backend,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
         )
         self.controller = controller or AdaptiveController(config)
         self._observe = observe
@@ -253,7 +249,6 @@ class AdaptiveShardedEngine:
                 batch_size=engine.batch_size,
                 observe=self._observe,
                 representation=engine.representation,
-                column_backend=engine.column_backend,
             ).run(sources)
         by_name = resolve_sources(engine.plan, sources)
         elements = list(by_name[st.input_name].events())
@@ -351,7 +346,6 @@ class AdaptiveShardedEngine:
                 engine.batch_size,
                 observe,
                 engine.representation,
-                engine.column_backend,
             )
         core = _ShardCore(
             ops,
@@ -360,7 +354,6 @@ class AdaptiveShardedEngine:
             engine.batch_size,
             observe,
             engine.representation,
-            engine.column_backend,
         )
         if engine.backend == "thread":
             return _ThreadWorker(core)
@@ -385,7 +378,6 @@ def run_adaptive(
     observe=True,
     guard=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
 ) -> tuple[RunResult, list]:
     """One-shot convenience: run ``plan`` adaptively, return
     ``(result, migration log)``.
@@ -407,7 +399,6 @@ def run_adaptive(
             backend=backend,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
         )
         return sharded.run(sources), sharded.migrations
     adaptive = AdaptiveEngine(
@@ -417,6 +408,5 @@ def run_adaptive(
         guard=guard,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
     )
     return adaptive.run(sources), adaptive.migrations

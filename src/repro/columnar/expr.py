@@ -11,8 +11,7 @@ expression AST whose nodes are **both**:
   lambda-built plan; and
 * column programs — ``expr.values(batch)`` / ``expr.mask(batch)``
   evaluate one whole :class:`~repro.columnar.batch.ColumnBatch` per
-  call, vectorizing over NumPy arrays when the backend provides them
-  and falling back to list comprehensions otherwise.
+  call, as list comprehensions over the batch's columns.
 
 Build them from :class:`Col` and :class:`Lit`::
 
@@ -31,64 +30,16 @@ from __future__ import annotations
 
 import operator as _op
 
-from repro.columnar.batch import ColumnBatch, as_pylist
+from repro.columnar.batch import ColumnBatch
 
-try:  # pragma: no cover - mirrored guard from batch.py
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-__all__ = [
-    "Expr", "Col", "Lit", "ColumnMapFn", "column_of", "mask_count",
-]
+__all__ = ["Expr", "Col", "Lit", "ColumnMapFn", "column_of"]
 
 
 def column_of(value, batch: ColumnBatch) -> list:
     """Normalize a ``values()`` result to a full-length column."""
     if isinstance(value, (list, tuple)):
         return list(value)
-    if _np is not None and isinstance(value, _np.ndarray):
-        return value
-    if hasattr(value, "tolist") and hasattr(value, "__len__"):  # array.array
-        return value
     return [value] * batch.length
-
-
-def mask_count(mask) -> int:
-    """Number of truthy entries in a mask (any backend)."""
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return int(_np.count_nonzero(mask))
-    n = 0
-    for v in mask:
-        if v:
-            n += 1
-    return n
-
-
-def _is_ndarray(x) -> bool:
-    return _np is not None and isinstance(x, _np.ndarray)
-
-
-def _is_column(x) -> bool:
-    """True for column containers (never for scalar str/bytes/etc.)."""
-    return (
-        type(x) is list
-        or _is_ndarray(x)
-        or (hasattr(x, "tolist") and hasattr(x, "__len__"))
-    )
-
-
-def _zip_apply(fn, left, right, batch: ColumnBatch) -> list:
-    """Elementwise ``fn`` over scalar-or-column operands, as a list."""
-    lseq = _is_column(left)
-    rseq = _is_column(right)
-    if lseq and rseq:
-        return [fn(a, b) for a, b in zip(left, right)]
-    if lseq:
-        return [fn(a, right) for a in left]
-    if rseq:
-        return [fn(left, b) for b in right]
-    return [fn(left, right)] * batch.length
 
 
 class Expr:
@@ -211,7 +162,7 @@ class Lit(Expr):
 
 
 class BinOp(Expr):
-    """Elementwise binary op; vectorizes when an operand is an ndarray."""
+    """Elementwise binary op over columns and/or scalars."""
 
     __slots__ = ("fn", "left", "right", "symbol")
 
@@ -225,15 +176,18 @@ class BinOp(Expr):
         return self.fn(self.left(record), self.right(record))
 
     def values(self, batch: ColumnBatch):
+        fn = self.fn
         lv = self.left.values(batch)
         rv = self.right.values(batch)
-        if _is_ndarray(lv) or _is_ndarray(rv):
-            return self.fn(lv, rv)
-        lseq = _is_column(lv)
-        rseq = _is_column(rv)
-        if not lseq and not rseq:
-            return self.fn(lv, rv)  # constant folds to a scalar
-        return _zip_apply(self.fn, lv, rv, batch)
+        lseq = type(lv) is list
+        rseq = type(rv) is list
+        if lseq and rseq:
+            return [fn(a, b) for a, b in zip(lv, rv)]
+        if lseq:
+            return [fn(a, rv) for a in lv]
+        if rseq:
+            return [fn(lv, b) for b in rv]
+        return fn(lv, rv)  # constant folds to a scalar
 
     __hash__ = object.__hash__
 
@@ -252,7 +206,9 @@ class And(Expr):
         return self.left(record) and self.right(record)
 
     def values(self, batch: ColumnBatch):
-        return mask_and(self.left.mask(batch), self.right.mask(batch), batch)
+        lm = column_of(self.left.mask(batch), batch)
+        rm = column_of(self.right.mask(batch), batch)
+        return [a and b for a, b in zip(lm, rm)]
 
     __hash__ = object.__hash__
 
@@ -273,8 +229,6 @@ class Or(Expr):
     def values(self, batch: ColumnBatch):
         lm = column_of(self.left.mask(batch), batch)
         rm = column_of(self.right.mask(batch), batch)
-        if _is_ndarray(lm) or _is_ndarray(rm):
-            return _np.logical_or(lm, rm)
         return [a or b for a, b in zip(lm, rm)]
 
     __hash__ = object.__hash__
@@ -294,23 +248,12 @@ class Not(Expr):
 
     def values(self, batch: ColumnBatch):
         m = column_of(self.operand.mask(batch), batch)
-        if _is_ndarray(m):
-            return _np.logical_not(m)
         return [not v for v in m]
 
     __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"~{self.operand!r}"
-
-
-def mask_and(left, right, batch: ColumnBatch):
-    """Conjunction of two masks (used by And and by fused Selects)."""
-    lm = column_of(left, batch)
-    rm = column_of(right, batch)
-    if _is_ndarray(lm) or _is_ndarray(rm):
-        return _np.logical_and(lm, rm)
-    return [a and b for a, b in zip(lm, rm)]
 
 
 class ColumnMapFn:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from repro.columnar.batch import BACKENDS, ColumnBatch, HAVE_NUMPY
+from repro.columnar.batch import ColumnBatch
 from repro.core.graph import Plan
 from repro.core.metrics import MetricsRegistry
 from repro.core.stream import Source, merge_sources
@@ -129,7 +129,6 @@ class Engine:
         guard=None,
         observe=None,
         representation: str = "tuple",
-        column_backend: str | None = None,
         recorder=None,
     ) -> None:
         plan.validate()
@@ -146,8 +145,6 @@ class Engine:
         self.plan = plan
         self.batch_size = batch_size
         self._columnar = False
-        self._column_backend: str | None = None
-        self._backend_eff = "numpy" if HAVE_NUMPY else "python"
         #: Batch representation on the micro-batched path: ``"tuple"``
         #: dispatches record lists through ``process_batch``;
         #: ``"columnar"`` converts record runs to
@@ -155,9 +152,6 @@ class Engine:
         #: columnar-capable operators through ``process_columns``
         #: (tuple-only operators transparently get rows back).
         self.representation = representation
-        #: Column storage backend (``None`` = auto: numpy when
-        #: installed, else pure-python lists).
-        self.column_backend = column_backend
         #: Optional ingress admission control (duck-typed to
         #: :class:`repro.resilience.OverloadGuard`): consulted for every
         #: arriving element; elements it refuses are counted as shed
@@ -205,26 +199,6 @@ class Engine:
                 "set batch_size (e.g. 'auto')"
             )
         self._columnar = value == "columnar"
-
-    @property
-    def column_backend(self) -> str | None:
-        return self._column_backend
-
-    @column_backend.setter
-    def column_backend(self, value: str | None) -> None:
-        if value is not None:
-            if value not in BACKENDS:
-                raise PlanError(
-                    f"column_backend must be one of {BACKENDS} or None; "
-                    f"got {value!r}"
-                )
-            if value == "numpy" and not HAVE_NUMPY:
-                raise PlanError(
-                    "column_backend 'numpy' requires numpy "
-                    "(install repro[numpy])"
-                )
-        self._column_backend = value
-        self._backend_eff = value or ("numpy" if HAVE_NUMPY else "python")
 
     def run(self, sources: Sequence[Source] | Mapping[str, Source]) -> RunResult:
         """Execute the plan over ``sources`` and return all outputs.
@@ -343,7 +317,6 @@ class Engine:
         assert batch_size is not None
         consumers = self.plan.inputs[input_name]
         observing = self._observer is not None
-        backend = self._backend_eff
         n = len(elements)
         puncts = iter(punct_positions)
         next_p = next(puncts, n)
@@ -365,7 +338,7 @@ class Engine:
                     if run:
                         self._dispatch_columns(
                             consumer,
-                            ColumnBatch.from_rows(run, backend),
+                            ColumnBatch.from_rows(run),
                             port,
                             outputs,
                         )
@@ -425,10 +398,6 @@ class Engine:
             self.metrics.operator_kinds[op.name] = getattr(
                 op, "kind", type(op).__name__.lower()
             )
-            for sub in getattr(op, "constituents", ()):
-                self.metrics.operator_kinds[sub.name] = getattr(
-                    sub, "kind", type(sub).__name__.lower()
-                )
         if self.observe_config is not None:
             self._observer = Observer(self.observe_config, self.metrics)
             self._observer.start_run()
@@ -771,10 +740,6 @@ class Engine:
             self.metrics.operator_kinds[op.name] = getattr(
                 op, "kind", type(op).__name__.lower()
             )
-            for sub in getattr(op, "constituents", ()):
-                self.metrics.operator_kinds[sub.name] = getattr(
-                    sub, "kind", type(sub).__name__.lower()
-                )
         self.plan = new_plan
         if allow_io_changes:
             old_outputs = self._outputs
@@ -940,7 +905,7 @@ class Engine:
                     if run:
                         self._dispatch_columns(
                             operator,
-                            ColumnBatch.from_rows(run, self._backend_eff),
+                            ColumnBatch.from_rows(run),
                             port,
                             outputs,
                         )
@@ -951,7 +916,7 @@ class Engine:
             if run:
                 self._dispatch_columns(
                     operator,
-                    ColumnBatch.from_rows(run, self._backend_eff),
+                    ColumnBatch.from_rows(run),
                     port,
                     outputs,
                 )
@@ -966,10 +931,6 @@ class Engine:
         m.invocations += 1
         m.batches_in += 1
         m.busy_time += operator.cost_per_tuple * len(elements)
-        settling = getattr(operator, "drain_attribution", None) is not None
-        if settling:
-            wall0 = m.wall_time
-            timed0 = m.timed_invocations
         obs = self._observer
         if obs is None:
             produced = operator.process_batch(elements, port)
@@ -986,8 +947,6 @@ class Engine:
                 m.records_out += 1
             else:
                 m.punctuations_out += 1
-        if settling:
-            self._settle_constituents(operator, m, wall0, timed0)
         self._propagate_batch(operator, produced, outputs)
 
     def _dispatch_columns(
@@ -1004,10 +963,6 @@ class Engine:
         m.invocations += 1
         m.batches_in += 1
         m.busy_time += operator.cost_per_tuple * batch.length
-        settling = getattr(operator, "drain_attribution", None) is not None
-        if settling:
-            wall0 = m.wall_time
-            timed0 = m.timed_invocations
         obs = self._observer
         if obs is None:
             produced = operator.process_columns(batch, port)
@@ -1019,8 +974,6 @@ class Engine:
                 produced = operator.process_columns(batch, port)
         if isinstance(produced, ColumnBatch):
             m.records_out += produced.length
-            if settling:
-                self._settle_constituents(operator, m, wall0, timed0)
             self._propagate_columns(operator, produced, outputs)
         else:
             for out in produced:
@@ -1028,46 +981,7 @@ class Engine:
                     m.records_out += 1
                 else:
                     m.punctuations_out += 1
-            if settling:
-                self._settle_constituents(operator, m, wall0, timed0)
             self._propagate_batch(operator, produced, outputs)
-
-    def _settle_constituents(self, operator, m, wall0, timed0) -> None:
-        """Fold a fused operator's per-stage tallies into the metrics of
-        its constituents, so observability and the adaptive controller
-        keep seeing the individual operators.
-
-        The fused node's sampled ``wall_time`` since ``wall0`` is
-        distributed across constituents pro rata by records_in, and the
-        fused node's own wall/timed counters are rolled back so chain
-        cost totals (``AdaptiveController._record_cost``) don't count
-        the same measured time twice.
-        """
-        tallies = operator.drain_attribution()
-        if not tallies:
-            return
-        costs = {op.name: op.cost_per_tuple for op in operator.constituents}
-        wall_delta = m.wall_time - wall0
-        timed_delta = m.timed_invocations - timed0
-        total_in = 0
-        for t in tallies.values():
-            total_in += t[0]
-        for name, t in tallies.items():
-            cm = self.metrics.for_operator(name)
-            cm.records_in += t[0]
-            cm.records_out += t[1]
-            cm.punctuations_in += t[2]
-            cm.punctuations_out += t[3]
-            cm.invocations += t[4]
-            cm.batches_in += t[5]
-            cm.busy_time += costs.get(name, 0.0) * (t[0] + t[2])
-            if timed_delta > 0:
-                cm.timed_invocations += timed_delta
-                if total_in > 0:
-                    cm.wall_time += wall_delta * (t[0] / total_in)
-        if timed_delta > 0:
-            m.wall_time = wall0
-            m.timed_invocations = timed0
 
     def _propagate(
         self, operator, produced: list[Element], outputs: dict[str, list[Element]]
@@ -1119,14 +1033,6 @@ class Engine:
         batched = self.batch_size is not None
         for operator in self.plan.topological_order():
             produced = operator.flush()
-            if getattr(operator, "drain_attribution", None) is not None:
-                # Settle tallies left by tuple-path dispatches (and the
-                # flush itself); no timed window spans the flush, so
-                # only the counts are distributed.
-                m = self.metrics.for_operator(operator.name)
-                self._settle_constituents(
-                    operator, m, m.wall_time, m.timed_invocations
-                )
             if produced:
                 m = self.metrics.for_operator(operator.name)
                 for out in produced:
@@ -1163,7 +1069,6 @@ def run_plan(
     batch_size: int | str | None = None,
     observe=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
 ) -> RunResult:
     """One-shot convenience: build an :class:`Engine` and run it.
 
@@ -1180,5 +1085,4 @@ def run_plan(
         batch_size=batch_size,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
     ).run(sources)

@@ -324,8 +324,8 @@ class CompiledChain(UnaryOperator):
     def on_feedback(
         self, fb: FeedbackPunctuation
     ) -> list[FeedbackPunctuation]:
-        # Feedback entering a fused chain from below traverses the
-        # constituents in reverse dataflow order, each acting/translating
+        # Feedback entering a fused chain from below traverses its
+        # operators in reverse dataflow order, each acting/translating
         # in turn, exactly as if the chain were unfused.
         current = [fb]
         for op in reversed(self.operators):

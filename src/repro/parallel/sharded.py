@@ -137,7 +137,7 @@ _STATELESS_OPS = (
     BackpressureProbe,
 )
 
-_BACKENDS = ("inline", "thread", "process")
+_WORKER_KINDS = ("inline", "thread", "process")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,6 @@ def _run_shard(
     batch_size,
     observe=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
 ) -> _ShardRun:
     """Run one shard's plan over its epoch slices."""
     plan = linear_plan(input_name, ops, output_name)
@@ -398,7 +397,6 @@ def _run_shard(
         batch_size=batch_size,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
     )
     engine.start()
     terminal = ops[-1]
@@ -428,7 +426,7 @@ def _run_shard(
 
 def _process_shard_entry(
     conn, ops, input_name, output_name, batches, puncts, batch_size,
-    observe=None, representation="tuple", column_backend=None,
+    observe=None, representation="tuple",
 ) -> None:
     """Forked child: run the shard and ship the result over the pipe.
 
@@ -440,7 +438,7 @@ def _process_shard_entry(
     try:
         run = _run_shard(
             ops, input_name, output_name, batches, puncts, batch_size,
-            observe, representation, column_backend,
+            observe, representation,
         )
         conn.send(("ok", run))
     except BaseException as exc:  # pragma: no cover - defensive
@@ -493,12 +491,11 @@ class ShardedEngine:
         ``("run", "shard:<i>")`` — across the thread *and* process
         backends — and the merged run metrics carry the union of shard
         histograms, gauges, and spans plus a coordinator ``run`` span.
-    representation / column_backend:
+    representation:
         Per-shard engine execution representation (``"tuple"`` or
-        ``"columnar"``) and column storage backend — see
-        :class:`~repro.core.engine.Engine`.  The columnar tier is
-        certified element-identical per shard, so the merge discipline
-        is unchanged.
+        ``"columnar"``) — see :class:`~repro.core.engine.Engine`.  The
+        columnar tier is certified element-identical per shard, so the
+        merge discipline is unchanged.
     """
 
     def __init__(
@@ -510,15 +507,14 @@ class ShardedEngine:
         worker_timeout: float | None = None,
         observe=None,
         representation: str = "tuple",
-        column_backend: str | None = None,
     ) -> None:
         if not isinstance(partition, PartitionSpec):
             raise PlanError(
                 f"partition must be a PartitionSpec; got {partition!r}"
             )
-        if backend not in _BACKENDS:
+        if backend not in _WORKER_KINDS:
             raise PlanError(
-                f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+                f"unknown backend {backend!r}; expected one of {_WORKER_KINDS}"
             )
         plan.validate()
         if backend == "process" and (
@@ -543,7 +539,6 @@ class ShardedEngine:
         self.worker_timeout = worker_timeout
         self.observe_config = ObserveConfig.coerce(observe)
         self.representation = representation
-        self.column_backend = column_backend
         self._strategy = _analyze(plan, partition)
         # Validate batch_size/representation/backend eagerly (Engine
         # performs the same checks per shard).
@@ -551,7 +546,6 @@ class ShardedEngine:
             plan,
             batch_size=batch_size,
             representation=representation,
-            column_backend=column_backend,
         )
 
     # -- introspection ---------------------------------------------------
@@ -591,7 +585,6 @@ class ShardedEngine:
                 batch_size=self.batch_size,
                 observe=cfg,
                 representation=self.representation,
-                column_backend=self.column_backend,
             ).run(sources)
         run_start = perf_counter() if cfg is not None else 0.0
         by_name = resolve_sources(self.plan, sources)
@@ -653,7 +646,6 @@ class ShardedEngine:
                 self.batch_size,
                 self._shard_observe(shard),
                 self.representation,
-                self.column_backend,
             )
             for shard, ops in enumerate(shard_ops)
         ]
@@ -961,7 +953,6 @@ def run_sharded(
     worker_timeout: float | None = None,
     observe=None,
     representation: str = "tuple",
-    column_backend: str | None = None,
 ) -> RunResult:
     """One-shot convenience: build a :class:`ShardedEngine` and run it."""
     engine = ShardedEngine(
@@ -972,6 +963,5 @@ def run_sharded(
         worker_timeout=worker_timeout,
         observe=observe,
         representation=representation,
-        column_backend=column_backend,
     )
     return engine.run(sources)

@@ -125,7 +125,6 @@ class TimeMachine:
             guard=guard,
             observe=self.observe,
             representation=meta.get("representation", "tuple"),
-            column_backend=meta.get("column_backend"),
         )
         engine.start()
         return engine
@@ -343,7 +342,6 @@ class TimeMachine:
             backend=backend,
             observe=self.observe,
             representation=meta.get("representation", "tuple"),
-            column_backend=meta.get("column_backend"),
         )
         return engine.run(self.sources(0, stop))
 
@@ -373,7 +371,6 @@ class TimeMachine:
             backend=backend,
             observe=self.observe,
             representation=meta.get("representation", "tuple"),
-            column_backend=meta.get("column_backend"),
         )
         supervisor = Supervisor(engine, **supervisor_kwargs)
         result = supervisor.run(self.sources(0, stop))

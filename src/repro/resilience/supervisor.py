@@ -108,7 +108,6 @@ class _ShardCore:
     def __init__(
         self, ops: list, input_name: str, output_name: str, batch_size,
         observe=None, representation: str = "tuple",
-        column_backend: str | None = None,
     ) -> None:
         self.ops = ops
         self.input_name = input_name
@@ -119,7 +118,6 @@ class _ShardCore:
             batch_size=batch_size,
             observe=observe,
             representation=representation,
-            column_backend=column_backend,
         )
         self.engine.start()
         self.emitted = 0
@@ -333,7 +331,7 @@ class _ThreadWorker:
 
 def _process_worker_main(
     conn, ops, input_name, output_name, batch_size, observe=None,
-    representation="tuple", column_backend=None,
+    representation="tuple",
 ) -> None:
     """Forked child: serve epoch/snapshot/restore/finish commands.
 
@@ -343,7 +341,7 @@ def _process_worker_main(
     """
     core = _ShardCore(
         ops, input_name, output_name, batch_size, observe,
-        representation, column_backend,
+        representation,
     )
     try:
         while True:
@@ -409,7 +407,6 @@ class _ProcessWorker:
     def __init__(
         self, ops, input_name: str, output_name: str, batch_size,
         observe=None, representation: str = "tuple",
-        column_backend: str | None = None,
     ) -> None:
         ctx = multiprocessing.get_context("fork")
         # Two one-way pipes.  The child holds the *only* write end of
@@ -428,7 +425,6 @@ class _ProcessWorker:
                 batch_size,
                 observe,
                 representation,
-                column_backend,
             ),
         )
         self.proc.start()
@@ -648,7 +644,6 @@ class Supervisor:
                     backend=self.engine.backend,
                     observe=self.engine.observe_config,
                     representation=self.engine.representation,
-                    column_backend=self.engine.column_backend,
                 )
                 if engine._strategy.name == "single":
                     self.report.degraded_to = "single"
@@ -677,7 +672,6 @@ class Supervisor:
                 {
                     "batch_size": engine.batch_size,
                     "representation": engine.representation,
-                    "column_backend": engine.column_backend,
                     "inputs": [st.input_name],
                     "outputs": [st.output_name],
                     "supervised": True,
@@ -823,11 +817,11 @@ class Supervisor:
         if engine.backend == "process":
             return _ProcessWorker(
                 ops, st.input_name, st.output_name, engine.batch_size,
-                observe, engine.representation, engine.column_backend,
+                observe, engine.representation,
             )
         core = _ShardCore(
             ops, st.input_name, st.output_name, engine.batch_size,
-            observe, engine.representation, engine.column_backend,
+            observe, engine.representation,
         )
         if engine.backend == "thread":
             return _ThreadWorker(core)
@@ -940,7 +934,6 @@ class Supervisor:
                     batch_size=batch_size,
                     observe=self.engine.observe_config,
                     representation=self.engine.representation,
-                    column_backend=self.engine.column_backend,
                 ).run(sources)
                 self._publish(result.metrics)
                 return result

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnar import (
-    ColumnBatch,
-    ColumnError,
-    ColumnUnavailable,
-    as_pylist,
-)
+from repro.columnar import ColumnBatch, ColumnError, ColumnUnavailable
 from repro.core import Record
 
 
@@ -35,35 +30,34 @@ ROWS = [
 ]
 
 
-def test_from_rows_is_lazy_and_to_rows_returns_originals(backend):
+def test_from_rows_is_lazy_and_to_rows_returns_originals():
     records = _records(ROWS)
-    batch = ColumnBatch.from_rows(records, backend)
+    batch = ColumnBatch.from_rows(records)
     assert batch.row_backed
     assert len(batch) == 4
     assert batch.fields() == []  # nothing extracted yet
     assert batch.to_rows() is records  # row-backed: free, same objects
 
 
-def test_column_access_and_native_values(backend):
-    batch = ColumnBatch.from_rows(_records(ROWS), backend)
-    assert as_pylist(batch.column("length")) == [100, 900, 40, 1500]
-    assert batch.pylist("ip") == [7, 8, 7, 9]
-    # pylist values are native Python (hashable group keys), whatever
-    # the backend stores internally.
-    assert all(type(v) is int for v in batch.pylist("length"))
+def test_column_access_and_native_values():
+    batch = ColumnBatch.from_rows(_records(ROWS))
+    assert batch.column("length") == [100, 900, 40, 1500]
+    assert batch.column("ip") == [7, 8, 7, 9]
+    # columns hold the records' own values (hashable group keys).
+    assert all(type(v) is int for v in batch.column("length"))
     assert batch.ts_list() == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_missing_field_raises_column_unavailable(backend):
-    batch = ColumnBatch.from_rows(_records(ROWS), backend)
+def test_missing_field_raises_column_unavailable():
+    batch = ColumnBatch.from_rows(_records(ROWS))
     with pytest.raises(ColumnUnavailable):
         batch.column("nope")
 
 
-def test_null_mask_strict_vs_raw(backend):
+def test_null_mask_strict_vs_raw():
     rows = [dict(r) for r in ROWS]
     del rows[2]["length"]  # one hole
-    batch = ColumnBatch.from_rows(_records(rows), backend)
+    batch = ColumnBatch.from_rows(_records(rows))
     # strict accessor refuses holed columns -> kernels take the row path
     with pytest.raises(ColumnUnavailable):
         batch.column("length")
@@ -74,9 +68,9 @@ def test_null_mask_strict_vs_raw(backend):
     assert batch.mask_for("ip") is None
 
 
-def test_compress_row_backed(backend):
+def test_compress_row_backed():
     records = _records(ROWS)
-    batch = ColumnBatch.from_rows(records, backend)
+    batch = ColumnBatch.from_rows(records)
     kept = batch.compress([True, False, True, False])
     assert len(kept) == 2
     assert kept.to_rows() == [records[0], records[2]]
@@ -85,10 +79,10 @@ def test_compress_row_backed(backend):
     assert [r.values["ip"] for r in kept2.to_rows()] == [7, 9]
 
 
-def test_compress_columnar_mode_and_masks(backend):
+def test_compress_columnar_mode_and_masks():
     rows = [dict(r) for r in ROWS]
     del rows[1]["length"]
-    batch = ColumnBatch.from_rows(_records(rows), backend).materialize()
+    batch = ColumnBatch.from_rows(_records(rows)).materialize()
     assert not batch.row_backed
     kept = batch.compress([True, True, False, True])
     assert len(kept) == 3
@@ -100,9 +94,9 @@ def test_compress_columnar_mode_and_masks(backend):
     assert solid.mask_for("length") is None
 
 
-def test_with_columns_keeps_stamps_and_validates_length(backend):
+def test_with_columns_keeps_stamps_and_validates_length():
     records = _records(ROWS)
-    batch = ColumnBatch.from_rows(records, backend)
+    batch = ColumnBatch.from_rows(records)
     doubled = batch.with_columns(
         {"twice": [2 * r.values["length"] for r in records]}
     )
@@ -122,22 +116,22 @@ def test_with_columns_keeps_stamps_and_validates_length(backend):
         batch.with_columns({"bad": [1, 2]})
 
 
-def test_materialize_unions_fields_first_seen_order(backend):
+def test_materialize_unions_fields_first_seen_order():
     rows = [
         {"ts": 0.0, "a": 1},
         {"ts": 1.0, "a": 2, "b": 10},
     ]
-    batch = ColumnBatch.from_rows(_records(rows), backend).materialize()
+    batch = ColumnBatch.from_rows(_records(rows)).materialize()
     assert batch.fields() == ["ts", "a", "b"]
     rebuilt = batch.to_rows()
     assert [r.values for r in rebuilt] == rows[:1] + rows[1:]
 
 
-def test_to_rows_round_trip_bit_identical(backend):
+def test_to_rows_round_trip_bit_identical():
     rows = [dict(r) for r in ROWS]
     del rows[3]["ip"]
     records = _records(rows)
-    rebuilt = ColumnBatch.from_rows(records, backend).materialize().to_rows()
+    rebuilt = ColumnBatch.from_rows(records).materialize().to_rows()
     assert rebuilt == records
     assert [(r.ts, r.seq, r.size) for r in rebuilt] == [
         (r.ts, r.seq, r.size) for r in records
@@ -148,7 +142,3 @@ def test_direct_construction_is_forbidden():
     with pytest.raises(ColumnError):
         ColumnBatch()
 
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ColumnError):
-        ColumnBatch.from_rows(_records(ROWS), "arrow")

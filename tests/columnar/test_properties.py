@@ -8,11 +8,6 @@ every kernel relies on:
   ``ts``/``seq`` stamps);
 * ``compress(mask)`` agrees with :func:`itertools.compress` on rows;
 * ``with_columns`` preserves element count, order, and stamps.
-
-Each law is checked on every available backend (numpy included only
-when installed, mirroring the suite's skip-guard fixture; backends are
-looped inside the test body because hypothesis forbids function-scoped
-fixtures under ``@given``).
 """
 
 from __future__ import annotations
@@ -22,12 +17,8 @@ from itertools import compress as itcompress
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar import BACKENDS, ColumnBatch, HAVE_NUMPY
+from repro.columnar import ColumnBatch
 from repro.core import Record
-
-AVAILABLE = tuple(
-    b for b in BACKENDS if b != "numpy" or HAVE_NUMPY
-)
 
 # Hypothesis property suites run in the slow CI lane, like the synopsis
 # and adaptive property layers.
@@ -58,14 +49,11 @@ def _records(rows):
 @given(rows=_rows)
 def test_materialize_to_rows_round_trip(rows):
     records = _records(rows)
-    for backend in AVAILABLE:
-        rebuilt = (
-            ColumnBatch.from_rows(records, backend).materialize().to_rows()
-        )
-        assert rebuilt == records
-        assert [(r.ts, r.seq, r.size) for r in rebuilt] == [
-            (r.ts, r.seq, r.size) for r in records
-        ]
+    rebuilt = ColumnBatch.from_rows(records).materialize().to_rows()
+    assert rebuilt == records
+    assert [(r.ts, r.seq, r.size) for r in rebuilt] == [
+        (r.ts, r.seq, r.size) for r in records
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,31 +66,22 @@ def test_compress_matches_itertools_compress(rows, data):
         )
     )
     want = list(itcompress(records, mask))
-    for backend in AVAILABLE:
-        # row-backed slice
-        assert ColumnBatch.from_rows(records, backend).compress(
-            mask
-        ).to_rows() == want
-        # columnar-mode slice rebuilds identical records
-        assert (
-            ColumnBatch.from_rows(records, backend)
-            .materialize()
-            .compress(mask)
-            .to_rows()
-            == want
-        )
+    # row-backed slice
+    assert ColumnBatch.from_rows(records).compress(mask).to_rows() == want
+    # columnar-mode slice rebuilds identical records
+    assert (
+        ColumnBatch.from_rows(records).materialize().compress(mask).to_rows()
+        == want
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=_rows)
 def test_with_columns_preserves_stamps(rows):
     records = _records(rows)
-    for backend in AVAILABLE:
-        batch = ColumnBatch.from_rows(records, backend)
-        derived = batch.with_columns({"idx": list(range(len(records)))})
-        assert len(derived) == len(records)
-        out = derived.to_rows()
-        assert [r.values["idx"] for r in out] == list(range(len(records)))
-        assert [(r.ts, r.seq) for r in out] == [
-            (r.ts, r.seq) for r in records
-        ]
+    batch = ColumnBatch.from_rows(records)
+    derived = batch.with_columns({"idx": list(range(len(records)))})
+    assert len(derived) == len(records)
+    out = derived.to_rows()
+    assert [r.values["idx"] for r in out] == list(range(len(records)))
+    assert [(r.ts, r.seq) for r in out] == [(r.ts, r.seq) for r in records]
