@@ -17,6 +17,7 @@ approximate, bounded alternatives live in :mod:`repro.synopses`.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Any, Callable
 
@@ -62,6 +63,25 @@ class AggregateFunction:
         """Abstract size of the internal state (1 = constant)."""
         return 1
 
+    def copy(self) -> "AggregateFunction":
+        """A detached copy: adding to either side leaves the other as is.
+
+        Operator snapshots and restores copy every group's states
+        through this method, so it runs once per group per checkpoint.
+        The default is ``copy.deepcopy(self)``, which is correct for any
+        state; custom subclasses inherit it and may override it with an
+        explicit copy of their fields for speed, as the built-ins do.  A
+        subclass of a built-in that adds fields must override it too:
+        the built-ins copy only their own fields.
+        """
+        return copy.deepcopy(self)
+
+
+def _blank(fn: AggregateFunction) -> Any:
+    """An uninitialised instance of ``fn``'s class, for ``copy()``."""
+    cls = type(fn)
+    return cls.__new__(cls)
+
 
 class Count(AggregateFunction):
     """Tuple count; the simplest distributive aggregate."""
@@ -79,6 +99,11 @@ class Count(AggregateFunction):
 
     def result(self) -> int:
         return self.n
+
+    def copy(self) -> "Count":
+        new = _blank(self)
+        new.n = self.n
+        return new
 
 
 class _ExactSum:
@@ -131,6 +156,12 @@ class _ExactSum:
             return self.exact
         return self.exact + math.fsum(self.partials)
 
+    def copy(self) -> "_ExactSum":
+        new = _ExactSum.__new__(_ExactSum)
+        new.exact = self.exact
+        new.partials = self.partials[:]
+        return new
+
 
 class Sum(AggregateFunction):
     """Numeric sum (distributive).
@@ -158,6 +189,11 @@ class Sum(AggregateFunction):
     def result(self) -> Any:
         return self._sum.value()
 
+    def copy(self) -> "Sum":
+        new = _blank(self)
+        new._sum = self._sum.copy()
+        return new
+
 
 class Min(AggregateFunction):
     """Running minimum (distributive); ``None`` on an empty group."""
@@ -178,6 +214,11 @@ class Min(AggregateFunction):
     def result(self) -> Any:
         return self.current
 
+    def copy(self) -> "Min":
+        new = _blank(self)
+        new.current = self.current
+        return new
+
 
 class Max(AggregateFunction):
     """Running maximum (distributive); ``None`` on an empty group."""
@@ -197,6 +238,11 @@ class Max(AggregateFunction):
 
     def result(self) -> Any:
         return self.current
+
+    def copy(self) -> "Max":
+        new = _blank(self)
+        new.current = self.current
+        return new
 
 
 class Avg(AggregateFunction):
@@ -220,6 +266,12 @@ class Avg(AggregateFunction):
         if self.n == 0:
             return None
         return self._sum.value() / self.n
+
+    def copy(self) -> "Avg":
+        new = _blank(self)
+        new._sum = self._sum.copy()
+        new.n = self.n
+        return new
 
 
 class StdDev(AggregateFunction):
@@ -249,6 +301,13 @@ class StdDev(AggregateFunction):
         var = max(self._sum_sq.value() / self.n - mean * mean, 0.0)
         return math.sqrt(var)
 
+    def copy(self) -> "StdDev":
+        new = _blank(self)
+        new.n = self.n
+        new._sum = self._sum.copy()
+        new._sum_sq = self._sum_sq.copy()
+        return new
+
 
 class First(AggregateFunction):
     """First value seen in arrival order."""
@@ -272,6 +331,12 @@ class First(AggregateFunction):
     def result(self) -> Any:
         return self.value
 
+    def copy(self) -> "First":
+        new = _blank(self)
+        new.value = self.value
+        new.seen = self.seen
+        return new
+
 
 class Last(AggregateFunction):
     """Most recent value seen in arrival order."""
@@ -290,6 +355,11 @@ class Last(AggregateFunction):
 
     def result(self) -> Any:
         return self.value
+
+    def copy(self) -> "Last":
+        new = _blank(self)
+        new.value = self.value
+        return new
 
 
 class CountDistinct(AggregateFunction):
@@ -312,6 +382,11 @@ class CountDistinct(AggregateFunction):
 
     def state_size(self) -> int:
         return len(self.values)
+
+    def copy(self) -> "CountDistinct":
+        new = _blank(self)
+        new.values = set(self.values)
+        return new
 
 
 class Quantile(AggregateFunction):
@@ -341,6 +416,12 @@ class Quantile(AggregateFunction):
 
     def state_size(self) -> int:
         return len(self.values)
+
+    def copy(self) -> "Quantile":
+        new = _blank(self)
+        new.q = self.q
+        new.values = self.values[:]
+        return new
 
 
 class Median(Quantile):

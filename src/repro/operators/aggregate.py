@@ -93,6 +93,33 @@ class _GroupState:
         self.states = [spec.new_state() for spec in specs]
         self.count = 0
 
+    def copy(self) -> "_GroupState":
+        new = _GroupState.__new__(_GroupState)
+        new.key_values = dict(self.key_values)
+        new.states = [s.copy() for s in self.states]
+        new.count = self.count
+        return new
+
+
+def _copy_table(table: dict) -> dict:
+    """Detached copy of a group table, for ``snapshot``/``restore``.
+
+    Values are :class:`_GroupState`, ``(key_values, states)`` pairs, or
+    nested tables (per bucket or pane) of either.  Each aggregate state
+    is copied through :meth:`AggregateFunction.copy`, which is far
+    cheaper than ``copy.deepcopy`` of the whole table.
+    """
+    out = {}
+    for key, entry in table.items():
+        if isinstance(entry, _GroupState):
+            out[key] = entry.copy()
+        elif isinstance(entry, dict):
+            out[key] = _copy_table(entry)
+        else:
+            key_values, states = entry
+            out[key] = (dict(key_values), [s.copy() for s in states])
+    return out
+
 
 def _columnar_capable(group_by, aggregates) -> bool:
     """Whether group extractors and agg inputs vectorize over a batch.
@@ -299,12 +326,12 @@ class Aggregate(UnaryOperator):
 
     def snapshot(self) -> object:
         return {
-            "groups": copy.deepcopy(self._groups),
+            "groups": _copy_table(self._groups),
             "max_ts": self._max_ts,
         }
 
     def restore(self, state: object) -> None:
-        self._groups = copy.deepcopy(state["groups"])
+        self._groups = _copy_table(state["groups"])
         self._max_ts = state["max_ts"]
 
     def memory(self) -> float:
@@ -639,14 +666,14 @@ class WindowedAggregate(UnaryOperator):
     def snapshot(self) -> object:
         if self._tumbling:
             state: dict = {
-                "buckets": copy.deepcopy(self._buckets),
+                "buckets": _copy_table(self._buckets),
                 "watermark": self._watermark,
             }
         elif self._punctuated:
             state = {"delegate": self._delegate.snapshot()}
         else:
             # Sliding/row/landmark windows: the buffer holds the whole
-            # window contents; a deep copy is the exact state.
+            # window contents as Records, so it is deep-copied.
             state = {"buffer": copy.deepcopy(self._buffer)}
         if self._emit_stride != 1 or self._emit_counter:
             state["feedback"] = (self._emit_stride, self._emit_counter)
@@ -654,7 +681,7 @@ class WindowedAggregate(UnaryOperator):
 
     def restore(self, state: object) -> None:
         if self._tumbling:
-            self._buckets = copy.deepcopy(state["buckets"])
+            self._buckets = _copy_table(state["buckets"])
             self._watermark = state["watermark"]
         elif self._punctuated:
             self._delegate.restore(state["delegate"])

@@ -153,6 +153,15 @@ class Operator:
         ``None`` (the base default); stateful operators override both
         methods.  Epoch-aligned fault tolerance
         (:mod:`repro.resilience`) is built on this protocol.
+
+        Checkpoints take a snapshot of every operator each epoch, so
+        snapshots copy state explicitly instead of calling
+        ``copy.deepcopy`` on it: the aggregate family copies each
+        group's states with
+        :meth:`~repro.aggregates.AggregateFunction.copy`, and its
+        ``restore`` copies again so the snapshot stays detached.  Only
+        state made of buffered Records (window buffers and window-join
+        sides) is still deep-copied.
         """
         return None
 

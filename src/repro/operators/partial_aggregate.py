@@ -21,7 +21,6 @@ attribute ``_states``, so algebraic aggregates (avg) merge exactly.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Sequence
 
 from repro.aggregates.functions import AggregateFunction
@@ -31,6 +30,7 @@ from repro.operators.aggregate import (
     AggSpec,
     AttrGetter,
     _GroupState,
+    _copy_table,
     _normalize_group_by,
     _spec_columns,
 )
@@ -245,12 +245,12 @@ class GroupPartial(UnaryOperator):
 
     def snapshot(self) -> object:
         return {
-            "groups": copy.deepcopy(self._groups),
+            "groups": _copy_table(self._groups),
             "max_ts": self.max_ts,
         }
 
     def restore(self, state: object) -> None:
-        self._groups = copy.deepcopy(state["groups"])
+        self._groups = _copy_table(state["groups"])
         self.max_ts = state["max_ts"]
 
     def memory(self) -> float:
@@ -449,13 +449,13 @@ class PartialAggregate(UnaryOperator):
     def snapshot(self) -> object:
         return {
             "bucket": self._bucket,
-            "groups": copy.deepcopy(self._groups),
+            "groups": _copy_table(self._groups),
             "evictions": self.evictions,
         }
 
     def restore(self, state: object) -> None:
         self._bucket = state["bucket"]
-        self._groups = copy.deepcopy(state["groups"])
+        self._groups = _copy_table(state["groups"])
         self.evictions = state["evictions"]
 
     def memory(self) -> float:
@@ -549,10 +549,10 @@ class FinalAggregate(UnaryOperator):
         self._merged.clear()
 
     def snapshot(self) -> object:
-        return {"merged": copy.deepcopy(self._merged)}
+        return {"merged": _copy_table(self._merged)}
 
     def restore(self, state: object) -> None:
-        self._merged = copy.deepcopy(state["merged"])
+        self._merged = _copy_table(state["merged"])
 
     def memory(self) -> float:
         return float(len(self._merged))

@@ -40,13 +40,16 @@ states replays additions in pane order, not arrival order, so
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Sequence
 
 from repro.aggregates.spec import AggSpec
 from repro.core.tuples import Punctuation, Record
 from repro.errors import WindowError
-from repro.operators.aggregate import _GroupState, _normalize_group_by
+from repro.operators.aggregate import (
+    _GroupState,
+    _copy_table,
+    _normalize_group_by,
+)
 from repro.operators.base import Element, UnaryOperator
 from repro.operators.partial_aggregate import STATES_ATTR
 from repro.windows.spec import TumblingWindow
@@ -234,12 +237,12 @@ class PaneAggregate(UnaryOperator):
 
     def snapshot(self) -> object:
         return {
-            "panes": copy.deepcopy(self._panes),
+            "panes": _copy_table(self._panes),
             "watermark": self._watermark,
         }
 
     def restore(self, state: object) -> None:
-        self._panes = copy.deepcopy(state["panes"])
+        self._panes = _copy_table(state["panes"])
         self._watermark = state["watermark"]
 
     def memory(self) -> float:
@@ -343,10 +346,10 @@ class PaneMerge(UnaryOperator):
         self._buckets.clear()
 
     def snapshot(self) -> object:
-        return {"buckets": copy.deepcopy(self._buckets)}
+        return {"buckets": _copy_table(self._buckets)}
 
     def restore(self, state: object) -> None:
-        self._buckets = copy.deepcopy(state["buckets"])
+        self._buckets = _copy_table(state["buckets"])
 
     def memory(self) -> float:
         return float(sum(len(g) for g in self._buckets.values()))

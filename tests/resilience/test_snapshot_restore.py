@@ -11,6 +11,10 @@ operator family, plus an engine-level checkpoint round-trip.
 A second property guards detachment: restoring must not alias state
 into the snapshot, so one checkpoint can seed many restores (a shard
 that crashes twice restores the same snapshot twice).
+
+Both properties also run over float-valued streams for the aggregate
+family: float sums keep a multi-element exact-sum expansion, which their
+snapshots copy by hand rather than through ``copy.deepcopy``.
 """
 
 from __future__ import annotations
@@ -32,11 +36,16 @@ from repro.operators import (
     WindowedAggregate,
 )
 from repro.operators.base import CompiledChain
-from repro.operators.partial_aggregate import GroupPartial
+from repro.operators.partial_aggregate import (
+    FinalAggregate,
+    GroupPartial,
+    PartialAggregate,
+)
 from repro.operators.punctuate import Heartbeat, PunctuationCounter
 from repro.operators.sort import Limit, Sort
 from repro.operators.streamify import DStream, IStream, RStream
 from repro.operators.union import OrderedMerge
+from repro.service.panes import PaneAggregate, PaneMerge
 from repro.windows import RowWindow, TimeWindow, TumblingWindow
 from tests.operators.test_batch_properties import canon_list
 
@@ -45,8 +54,18 @@ from tests.operators.test_batch_properties import canon_list
 # --------------------------------------------------------------------------
 
 
+INT_VALUES = st.integers(min_value=-5, max_value=5)
+#: Magnitudes far enough apart that float sums grow multi-element
+#: exact-sum partials.
+FLOAT_VALUES = st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
 @st.composite
-def element_streams(draw, n_keys=4, max_len=40, with_puncts=True):
+def element_streams(
+    draw, n_keys=4, max_len=40, with_puncts=True, values=INT_VALUES
+):
     length = draw(st.integers(min_value=0, max_value=max_len))
     elements = []
     ts = 0.0
@@ -60,13 +79,28 @@ def element_streams(draw, n_keys=4, max_len=40, with_puncts=True):
                 {
                     "ts": ts,
                     "k": draw(st.integers(min_value=0, max_value=n_keys - 1)),
-                    "v": draw(st.integers(min_value=-5, max_value=5)),
+                    "v": draw(values),
                 },
                 ts=ts,
                 seq=seq,
             )
         )
     return elements
+
+
+#: Every exact registry function besides count and sum.
+EXACT_FUNCS = (
+    "min", "max", "avg", "stdev", "first", "last", "count_distinct",
+    "median",
+)
+
+
+def _sum_specs():
+    return [
+        AggSpec("n", "count"),
+        AggSpec("s", "sum", "v"),
+        AggSpec("a", "avg", "v"),
+    ]
 
 
 OPERATOR_FACTORIES = {
@@ -94,7 +128,35 @@ OPERATOR_FACTORIES = {
             Aggregate(["k"], [AggSpec("n", "count")], name="agg"),
         ]
     ),
+    "partial_final": lambda: CompiledChain(
+        [
+            PartialAggregate(
+                TumblingWindow(4.0), ["k"], _sum_specs(), max_groups=2
+            ),
+            FinalAggregate(["k"], _sum_specs()),
+        ]
+    ),
+    "pane_merge": lambda: CompiledChain(
+        [
+            PaneAggregate(TumblingWindow(2.0), ["k"], _sum_specs()),
+            PaneMerge(TumblingWindow(4.0), ["k"], _sum_specs()),
+        ]
+    ),
+    "aggregate_all_functions": lambda: Aggregate(
+        ["k"],
+        [
+            AggSpec(func, func, "v")
+            for func in EXACT_FUNCS + ("approx_count_distinct",)
+        ],
+    ),
 }
+
+#: The operators whose state aggregates ``v``: the float-valued variants
+#: of the two properties run over these.
+AGGREGATING_KINDS = (
+    "aggregate", "aggregate_all_functions", "group_partial",
+    "pane_merge", "partial_final",
+)
 
 
 def _drive(op, elements, port=0):
@@ -104,16 +166,7 @@ def _drive(op, elements, port=0):
     return out
 
 
-@pytest.mark.parametrize("kind", sorted(OPERATOR_FACTORIES), ids=str)
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_snapshot_mutate_restore_roundtrip(kind, data):
-    """snapshot -> keep processing -> restore on a twin -> same output."""
-    factory = OPERATOR_FACTORIES[kind]
-    elements = data.draw(element_streams())
-    cut = data.draw(
-        st.integers(min_value=0, max_value=len(elements))
-    )
+def _check_roundtrip(factory, elements, cut):
     prefix, suffix = elements[:cut], elements[cut:]
 
     original = factory()
@@ -132,15 +185,7 @@ def test_snapshot_mutate_restore_roundtrip(kind, data):
     assert twin_tail == reference_tail
 
 
-@pytest.mark.parametrize("kind", sorted(OPERATOR_FACTORIES), ids=str)
-@given(data=st.data())
-@settings(max_examples=10, deadline=None)
-def test_snapshot_survives_double_restore(kind, data):
-    """One checkpoint must seed multiple restores identically (a shard
-    can crash again while recovering)."""
-    factory = OPERATOR_FACTORIES[kind]
-    elements = data.draw(element_streams(max_len=24))
-    cut = data.draw(st.integers(min_value=0, max_value=len(elements)))
+def _check_double_restore(factory, elements, cut):
     prefix, suffix = elements[:cut], elements[cut:]
 
     original = factory()
@@ -153,6 +198,45 @@ def test_snapshot_survives_double_restore(kind, data):
         twin.restore(snap)
         tails.append(canon_list(_drive(twin, suffix) + twin.flush()))
     assert tails[0] == tails[1]
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATOR_FACTORIES), ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_snapshot_mutate_restore_roundtrip(kind, data):
+    """snapshot -> keep processing -> restore on a twin -> same output."""
+    elements = data.draw(element_streams())
+    cut = data.draw(st.integers(min_value=0, max_value=len(elements)))
+    _check_roundtrip(OPERATOR_FACTORIES[kind], elements, cut)
+
+
+@pytest.mark.parametrize("kind", AGGREGATING_KINDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_float_snapshot_mutate_restore_roundtrip(kind, data):
+    elements = data.draw(element_streams(values=FLOAT_VALUES))
+    cut = data.draw(st.integers(min_value=0, max_value=len(elements)))
+    _check_roundtrip(OPERATOR_FACTORIES[kind], elements, cut)
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATOR_FACTORIES), ids=str)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_snapshot_survives_double_restore(kind, data):
+    """One checkpoint must seed multiple restores identically (a shard
+    can crash again while recovering)."""
+    elements = data.draw(element_streams(max_len=24))
+    cut = data.draw(st.integers(min_value=0, max_value=len(elements)))
+    _check_double_restore(OPERATOR_FACTORIES[kind], elements, cut)
+
+
+@pytest.mark.parametrize("kind", AGGREGATING_KINDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_float_snapshot_survives_double_restore(kind, data):
+    elements = data.draw(element_streams(max_len=24, values=FLOAT_VALUES))
+    cut = data.draw(st.integers(min_value=0, max_value=len(elements)))
+    _check_double_restore(OPERATOR_FACTORIES[kind], elements, cut)
 
 
 # --------------------------------------------------------------------------
